@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use cloudviews::analyzer::SelectedView;
-use cloudviews::{MetadataService, ReportRequest};
+use cloudviews::{LookupRequest, MetadataService, ProposeRequest, ReportRequest};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scope_common::hash::sip128;
 use scope_common::ids::JobId;
@@ -61,7 +61,8 @@ fn bench_metadata(c: &mut Criterion) {
                     let mut i = 0u64;
                     b.iter(|| {
                         i += 1;
-                        svc.relevant_views_for(JobId::new(i), std::hint::black_box(tags))
+                        let tags = std::hint::black_box(tags);
+                        svc.lookup(&LookupRequest::new(JobId::new(i), tags, SimTime::ZERO))
                             .unwrap()
                     })
                 },
@@ -76,8 +77,9 @@ fn bench_metadata(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             let sig = sip128(&i.to_le_bytes());
+            let ttl = SimDuration::from_secs(60);
             let lock = svc
-                .propose_now(sig, JobId::new(i), SimDuration::from_secs(60))
+                .propose(&ProposeRequest::new(sig, JobId::new(i), ttl, SimTime::ZERO))
                 .unwrap();
             std::hint::black_box(lock);
             svc.report(ReportRequest::new(

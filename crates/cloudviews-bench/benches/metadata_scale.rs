@@ -23,11 +23,14 @@
 //! timed wall-clock as one unit, so the bench times itself and writes its
 //! own artifact.
 
+// The bench drives the shared clock and reads it back as its pinned time.
+#![allow(clippy::disallowed_methods)]
+
 use std::sync::Arc;
 use std::time::Instant;
 
 use cloudviews::analyzer::SelectedView;
-use cloudviews::{MetadataService, ReportRequest};
+use cloudviews::{LookupRequest, MetadataService, ProposeRequest, ReportRequest};
 use scope_common::hash::Sig128;
 use scope_common::ids::JobId;
 use scope_common::time::{SimClock, SimDuration};
@@ -85,15 +88,20 @@ fn worker(m: &MetadataService, selected: &[SelectedView], tid: usize, ops: usize
             s.input_tags[0],
             selected[(k + GROUP) % ANNOTATIONS].input_tags[1],
         ];
-        let r = m.relevant_views_for(job, &tags).unwrap();
+        let r = m.lookup(&LookupRequest::new(job, &tags, now)).unwrap();
         assert!(!r.annotations.is_empty(), "fixture lookup must hit");
         if i % 2 == 0 {
             let precise = Sig128::new(
                 (tid as u64) * 1_000_003 + i as u64,
                 (i as u64) * 2_654_435_761 + tid as u64,
             );
-            m.propose_now(precise, job, SimDuration::from_secs(60))
-                .unwrap();
+            m.propose(&ProposeRequest::new(
+                precise,
+                job,
+                SimDuration::from_secs(60),
+                now,
+            ))
+            .unwrap();
             m.register(ReportRequest::new(
                 AvailableView {
                     precise,
@@ -108,7 +116,7 @@ fn worker(m: &MetadataService, selected: &[SelectedView], tid: usize, ops: usize
             ));
         }
         if i % 64 == 0 {
-            m.purge_next_shard();
+            m.purge_next_shard(now);
         }
     }
 }
@@ -173,12 +181,12 @@ fn bench_leak(selected: &[SelectedView], instances: usize) -> LeakNumbers {
             ));
         }
         clock.advance(SimDuration::from_secs(100));
-        m.purge_next_shard();
+        m.purge_next_shard(clock.now());
         max_views = max_views.max(m.num_views());
     }
     // Horizon: the last views expire +50s, annotations linger one ttl more.
     clock.advance(SimDuration::from_secs(50 + 3_600 + 1));
-    m.purge_expired();
+    m.purge_expired(clock.now());
     LeakNumbers {
         instances,
         max_views_observed: max_views,

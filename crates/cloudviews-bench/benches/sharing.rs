@@ -160,7 +160,6 @@ fn run(jobs: &[(JobSpec, SimDuration)], families: usize, rows: usize, enabled: b
         PipelineOptions {
             workers: 4,
             max_in_flight: 0,
-            janitor: false,
         },
         &cfg,
     );

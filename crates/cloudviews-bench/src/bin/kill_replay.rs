@@ -139,6 +139,7 @@ fn main() {
             .fingerprint();
         let records = cv.repo.records().len();
         let views = cv.metadata.num_views();
+        #[allow(clippy::disallowed_methods)] // the recovered service clock is under test
         let now = cv.clock.now();
         assert!(
             records >= prev_records,

@@ -67,7 +67,9 @@ pub fn reclaim_storage(service: &CloudViews, bytes_needed: u64) -> Result<Reclai
     }
 
     // Metadata first, files second — the paper's required order.
-    service.metadata.unregister_views(&to_remove);
+    #[allow(clippy::disallowed_methods)] // admin reclamation: no job time exists
+    let now = service.clock.now();
+    service.metadata.unregister_views(&to_remove, now);
     let mut bytes_reclaimed = 0;
     for sig in &to_remove {
         bytes_reclaimed += service.storage.delete_view(*sig).unwrap_or(0);
@@ -212,6 +214,7 @@ pub struct ViewTrace {
 
 /// Traces a stored view back to its producer and historical consumers.
 pub fn trace_view(service: &CloudViews, precise: Sig128) -> Option<ViewTrace> {
+    #[allow(clippy::disallowed_methods)] // admin drill-down: no job time exists
     let now = service.clock.now();
     let file = service.storage.view(precise, now)?;
     let records = service.repo.records();
@@ -257,6 +260,7 @@ pub fn admin_report(service: &CloudViews, config: &AnalyzerConfig, top: usize) -
 /// from [`crate::reporting::fault_report`].
 pub fn fault_dashboard(service: &CloudViews, reports: &[crate::runtime::JobRunReport]) -> String {
     let stats = service.metadata.stats();
+    #[allow(clippy::disallowed_methods)] // admin dashboard: no job time exists
     let now = service.clock.now();
     let mut out = format!(
         "metadata: shards={} lookups={} failed_lookups={} failed_proposals={} \

@@ -48,7 +48,7 @@ use scope_common::shard::Sharded;
 use scope_common::telemetry::{Counter, Gauge, Histogram, MetricUnit, Telemetry};
 use scope_common::time::{SimClock, SimDuration, SimTime};
 use scope_common::{Result, ScopeError};
-use scope_engine::optimizer::{Annotation, AvailableView, SubsumedView, ViewServices};
+use scope_engine::optimizer::{Annotation, AvailableView, SubsumedView};
 use scope_signature::SubsumeDescriptor;
 
 use crate::analyzer::SelectedView;
@@ -422,14 +422,13 @@ impl MetadataService {
     /// Loads (replacing) the analyzer's selected views as annotations and
     /// rebuilds the inverted index ("the metadata service periodically
     /// polls for the output of the CloudViews analyzer").
+    ///
+    /// An admin operation outside any job, so it reads the live clock; the
+    /// instant drives each annotation's `keep_until` and is logged, so a
+    /// WAL replay reuses the recorded time instead of reading the clock.
     pub fn load_annotations(&self, selected: &[SelectedView]) {
-        self.load_annotations_at(selected, self.clock.now());
-    }
-
-    /// [`MetadataService::load_annotations`] at an explicit pinned time
-    /// (the time drives each annotation's `keep_until`, so a WAL replay
-    /// must reuse the recorded instant, not the live clock).
-    pub fn load_annotations_at(&self, selected: &[SelectedView], now: SimTime) {
+        #[allow(clippy::disallowed_methods)] // admin install: no job time exists
+        let now = self.clock.now();
         self.log_event(&WalEvent::LoadAnnotations {
             selected: selected.to_vec(),
             now,
@@ -469,33 +468,21 @@ impl MetadataService {
         }
     }
 
-    /// Figure 9 steps 1/2: one lookup per job, attributed to `job` so the
-    /// fault injector can fail it deterministically. Returns every
-    /// annotation whose tags intersect the job's tags (an
-    /// over-approximation the optimizer narrows by matching actual
-    /// signatures), plus the modeled service latency for the request.
+    /// Figure 9 steps 1/2: the single pinned-time cascade lookup, one per
+    /// job, judged at the request's pinned submission time (`req.at`).
+    /// Tier-1 returns every annotation whose tags intersect the job's tags
+    /// (an over-approximation the optimizer narrows by matching actual
+    /// signatures); tier-2 adds the subsumption candidates; the response
+    /// carries the modeled service latency.
     ///
     /// The read path is a single pass over per-shard *read* locks: one
     /// inverted-bucket probe per tag, then the candidate signatures grouped
     /// by annotation shard so each shard's lock is taken at most once. No
     /// two locks are ever held together.
     ///
-    /// **Fault-injection contract:** when the installed injector fires
-    /// [`FaultSite::MetadataLookup`] for `job`, the call returns
-    /// `ServiceUnavailable` and the index is never consulted. The runtime
-    /// retries with backoff and then falls back to the baseline plan
-    /// (DESIGN.md "Fault tolerance & degradation").
-    pub fn relevant_views_for(&self, job: JobId, job_tags: &[Symbol]) -> Result<LookupResponse> {
-        self.lookup(&LookupRequest::new(job, job_tags, self.clock.now()))
-    }
-
-    /// The single pinned-time cascade lookup:
-    /// [`MetadataService::relevant_views_for`] plus the tier-2 candidate
-    /// scan, judged at the request's pinned submission time (`req.at`).
-    ///
-    /// Tier-1 is unchanged — every tag-matching annotation is returned with
-    /// no time filtering (annotation GC is the janitor's job, and the
-    /// optimizer still has to rebuild views whose files expired). Tier-2
+    /// Tier-1 returns every tag-matching annotation with no time filtering
+    /// (annotation GC is the janitor's job, and the optimizer still has to
+    /// rebuild views whose files expired). Tier-2
     /// walks the matched annotations' registered-view backrefs and returns
     /// each view that (a) is live at `req.at` — **the caller's pinned
     /// clock, not the service's** — so a job pinned to its submission time
@@ -504,6 +491,12 @@ impl MetadataService {
     /// cheap feature-vector gate against at least one of the request's
     /// `probes`. Everything else is counted as a tier-2 reject and never
     /// reaches plan inspection.
+    ///
+    /// **Fault-injection contract:** when the installed injector fires
+    /// [`FaultSite::MetadataLookup`] for `req.job`, the call returns
+    /// `ServiceUnavailable` and the index is never consulted. The runtime
+    /// retries with backoff and then falls back to the baseline plan
+    /// (DESIGN.md "Fault tolerance & degradation").
     pub fn lookup(&self, req: &LookupRequest) -> Result<LookupResponse> {
         let (job, job_tags, probes, at) = (req.job, &req.tags, &req.probes, req.at);
         if self.injected_failure(FaultSite::MetadataLookup, job) {
@@ -647,23 +640,6 @@ impl MetadataService {
     pub fn lookup_latency(&self) -> SimDuration {
         let ms = 13.12 + 5.88 / self.service_threads as f64;
         SimDuration::from_secs_f64(ms / 1e3)
-    }
-
-    /// Thin default-now wrapper over [`MetadataService::propose`]: a
-    /// proposal pinned at the service clock's current reading, for callers
-    /// outside a submission wave (admin tooling, single-job tests).
-    pub fn propose_now(
-        &self,
-        precise: Sig128,
-        job: JobId,
-        lock_ttl: SimDuration,
-    ) -> Result<LockOutcome> {
-        self.propose(&ProposeRequest::new(
-            precise,
-            job,
-            lock_ttl,
-            self.clock.now(),
-        ))
     }
 
     /// Figure 9 steps 3/4: propose to materialize `req.precise`. Grants an
@@ -948,10 +924,6 @@ impl MetadataService {
     /// View lookup as of an explicit time (used by the runtime to pin a
     /// job's visibility to its submission time under overlapped arrivals).
     pub fn view_available_at(&self, precise: Sig128, now: SimTime) -> Option<AvailableView> {
-        self.lookup_view(precise, now)
-    }
-
-    fn lookup_view(&self, precise: Sig128, now: SimTime) -> Option<AvailableView> {
         let views = self.sig_shard(precise).views.read();
         views
             .get(&precise)
@@ -981,9 +953,9 @@ impl MetadataService {
     /// — and, in the same pass, the annotation and inverted-index entries
     /// those dead views strand (the entries used to leak and keep matching
     /// future lookups forever). The storage manager purges the
-    /// corresponding files.
-    pub fn purge_expired(&self) -> PurgeSweep {
-        let now = self.clock.now();
+    /// corresponding files. Views and locks are judged at `now`, the
+    /// caller's single clock reading.
+    pub fn purge_expired(&self, now: SimTime) -> PurgeSweep {
         let mut total = PurgeSweep::default();
         for index in 0..self.shards.len() {
             self.log_event(&WalEvent::PurgeShard {
@@ -996,12 +968,10 @@ impl MetadataService {
     }
 
     /// Incremental janitor step: sweeps the next shard in round-robin
-    /// order. `shards` consecutive calls cover the whole service, so the
-    /// run_many pool can amortize purging across jobs instead of stopping
-    /// the world (`PipelineOptions::janitor`).
-    pub fn purge_next_shard(&self) -> PurgeSweep {
+    /// order at `now`. `shards` consecutive calls cover the whole service,
+    /// so a caller can amortize purging instead of stopping the world.
+    pub fn purge_next_shard(&self, now: SimTime) -> PurgeSweep {
         let index = self.janitor_cursor.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let now = self.clock.now();
         self.log_event(&WalEvent::PurgeShard {
             index: index as u32,
             now,
@@ -1046,17 +1016,13 @@ impl MetadataService {
     /// The annotations that drove the removed views — and their inverted-
     /// index entries — go with them unless another live view still needs
     /// them, so a reclaimed or lost view stops matching future lookups.
-    pub fn unregister_views(&self, precise: &[Sig128]) {
-        self.unregister_views_at(precise, self.clock.now());
-    }
-
-    /// [`MetadataService::unregister_views`] at an explicit pinned time.
-    /// The time decides which *other* views still keep a swept annotation
+    ///
+    /// `now` decides which *other* views still keep a swept annotation
     /// alive, so callers that pin visibility (the runtime's dead-view
-    /// fallback) and WAL replay must pass the instant they observed — a
-    /// live-clock read here would let replay GC annotations that were
-    /// still live at the recorded timestamp.
-    pub fn unregister_views_at(&self, precise: &[Sig128], now: SimTime) {
+    /// fallback) pass the instant they observed, and WAL replay reuses the
+    /// recorded one: a live-clock read here would let replay GC annotations
+    /// that were still live at the recorded timestamp.
+    pub fn unregister_views(&self, precise: &[Sig128], now: SimTime) {
         self.log_event(&WalEvent::Unregister {
             precise: precise.to_vec(),
             now,
@@ -1413,28 +1379,9 @@ impl MetadataService {
     }
 }
 
-impl ViewServices for MetadataService {
-    fn view_available(&self, precise: Sig128) -> Option<AvailableView> {
-        self.lookup_view(precise, self.clock.now())
-    }
-
-    fn propose_materialize(
-        &self,
-        precise: Sig128,
-        _normalized: Sig128,
-        job: JobId,
-        lock_ttl: SimDuration,
-    ) -> bool {
-        // An injected propose fault surfaces as "lock not granted": the
-        // optimizer simply skips that materialization.
-        matches!(
-            self.propose_now(precise, job, lock_ttl),
-            Ok(LockOutcome::Acquired)
-        )
-    }
-}
-
 #[cfg(test)]
+// Tests drive the shared clock directly and read it back as their pinned time.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use scope_common::sip128;
@@ -1459,6 +1406,26 @@ mod tests {
 
     fn service() -> MetadataService {
         MetadataService::new(Arc::new(SimClock::new()), 1)
+    }
+
+    /// A probe-less lookup pinned at the service clock's current reading.
+    fn lookup_at_clock(m: &MetadataService, job: JobId, tags: &[Symbol]) -> Result<LookupResponse> {
+        m.lookup(&LookupRequest::new(job, tags, m.clock().now()))
+    }
+
+    /// A proposal pinned at the service clock's current reading.
+    fn propose_at_clock(
+        m: &MetadataService,
+        precise: Sig128,
+        job: JobId,
+        lock_ttl: SimDuration,
+    ) -> Result<LockOutcome> {
+        m.propose(&ProposeRequest::new(
+            precise,
+            job,
+            lock_ttl,
+            m.clock().now(),
+        ))
     }
 
     fn a_view(precise: Sig128) -> AvailableView {
@@ -1651,9 +1618,7 @@ mod tests {
             )
             .with_descriptor(Some(view_desc)),
         );
-        let r = m
-            .relevant_views_for(JobId::new(2), &["in/a.ss".into()])
-            .unwrap();
+        let r = lookup_at_clock(&m, JobId::new(2), &["in/a.ss".into()]).unwrap();
         assert_eq!(r.annotations.len(), 1);
         assert!(r.tier2.is_empty());
         assert_eq!(r.latency, m.lookup_latency(), "no tier-2 latency charged");
@@ -1672,19 +1637,17 @@ mod tests {
         ]);
         assert_eq!(m.num_annotations(), 2);
         let job = JobId::new(1);
-        let r = m.relevant_views_for(job, &["in/b.ss".into()]).unwrap();
+        let r = lookup_at_clock(&m, job, &["in/b.ss".into()]).unwrap();
         assert_eq!(r.annotations.len(), 1);
         assert_eq!(r.annotations[0].normalized, n1);
         assert_eq!(r.hit_count, 1);
         assert!(r.latency > SimDuration::ZERO);
         // Multi-tag job gets the union.
-        let r = m
-            .relevant_views_for(job, &["in/a.ss".into(), "in/c.ss".into()])
-            .unwrap();
+        let r = lookup_at_clock(&m, job, &["in/a.ss".into(), "in/c.ss".into()]).unwrap();
         assert_eq!(r.annotations.len(), 2);
         assert_eq!(r.hit_count, 2);
         // Unknown tags: empty.
-        let r = m.relevant_views_for(job, &["in/zzz.ss".into()]).unwrap();
+        let r = lookup_at_clock(&m, job, &["in/zzz.ss".into()]).unwrap();
         assert!(r.annotations.is_empty());
         assert_eq!(r.hit_count, 0);
         assert_eq!(m.stats().lookups, 3);
@@ -1709,9 +1672,7 @@ mod tests {
             assert_eq!(m.num_annotations(), 64);
             assert_eq!(m.num_inverted_entries(), 64);
             assert_eq!(m.num_tag_buckets(), 8);
-            let r = m
-                .relevant_views_for(JobId::new(1), &["in/s3.ss".into()])
-                .unwrap();
+            let r = lookup_at_clock(&m, JobId::new(1), &["in/s3.ss".into()]).unwrap();
             assert_eq!(r.annotations.len(), 8, "shards={shards}");
         }
     }
@@ -1721,7 +1682,7 @@ mod tests {
         let m = service();
         m.load_annotations(&[selected(sip128(b"old"), &["t"])]);
         m.load_annotations(&[selected(sip128(b"new"), &["t"])]);
-        let r = m.relevant_views_for(JobId::new(1), &["t".into()]).unwrap();
+        let r = lookup_at_clock(&m, JobId::new(1), &["t".into()]).unwrap();
         assert_eq!(r.annotations.len(), 1);
         assert_eq!(r.annotations[0].normalized, sip128(b"new"));
     }
@@ -1732,17 +1693,17 @@ mod tests {
         let p = sip128(b"view");
         let ttl = SimDuration::from_secs(60);
         assert_eq!(
-            m.propose_now(p, JobId::new(1), ttl).unwrap(),
+            propose_at_clock(&m, p, JobId::new(1), ttl).unwrap(),
             LockOutcome::Acquired
         );
         // Second job is refused.
         assert_eq!(
-            m.propose_now(p, JobId::new(2), ttl).unwrap(),
+            propose_at_clock(&m, p, JobId::new(2), ttl).unwrap(),
             LockOutcome::AlreadyLocked
         );
         // The holder itself may re-propose (idempotent re-acquire).
         assert_eq!(
-            m.propose_now(p, JobId::new(1), ttl).unwrap(),
+            propose_at_clock(&m, p, JobId::new(1), ttl).unwrap(),
             LockOutcome::Acquired
         );
         // After the build is reported, proposals see AlreadyMaterialized.
@@ -1755,7 +1716,7 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(
-            m.propose_now(p, JobId::new(3), ttl).unwrap(),
+            propose_at_clock(&m, p, JobId::new(3), ttl).unwrap(),
             LockOutcome::AlreadyMaterialized
         );
         let stats = m.stats();
@@ -1769,15 +1730,13 @@ mod tests {
         let m = MetadataService::new(Arc::clone(&clock), 1);
         let p = sip128(b"crashy");
         assert_eq!(
-            m.propose_now(p, JobId::new(1), SimDuration::from_secs(10))
-                .unwrap(),
+            propose_at_clock(&m, p, JobId::new(1), SimDuration::from_secs(10)).unwrap(),
             LockOutcome::Acquired
         );
         // Builder "crashes"; 11 seconds later another job may take over.
         clock.advance(SimDuration::from_secs(11));
         assert_eq!(
-            m.propose_now(p, JobId::new(2), SimDuration::from_secs(10))
-                .unwrap(),
+            propose_at_clock(&m, p, JobId::new(2), SimDuration::from_secs(10)).unwrap(),
             LockOutcome::Acquired
         );
     }
@@ -1797,12 +1756,15 @@ mod tests {
             SimTime(10_000_000),
         ))
         .unwrap();
-        assert!(m.view_available(p).is_none(), "not yet available");
+        assert!(
+            m.view_available_at(p, m.clock().now()).is_none(),
+            "not yet available"
+        );
         clock.advance(SimDuration::from_secs(6));
-        assert!(m.view_available(p).is_some());
+        assert!(m.view_available_at(p, m.clock().now()).is_some());
         clock.advance(SimDuration::from_secs(10));
-        assert!(m.view_available(p).is_none(), "expired");
-        assert_eq!(m.purge_expired().views_purged, 1);
+        assert!(m.view_available_at(p, m.clock().now()).is_none(), "expired");
+        assert_eq!(m.purge_expired(m.clock().now()).views_purged, 1);
         assert_eq!(m.num_views(), 0);
     }
 
@@ -1818,8 +1780,8 @@ mod tests {
             SimTime::MAX,
         ))
         .unwrap();
-        m.unregister_views(&[p]);
-        assert!(m.view_available(p).is_none());
+        m.unregister_views(&[p], m.clock().now());
+        assert!(m.view_available_at(p, m.clock().now()).is_none());
     }
 
     #[test]
@@ -1841,13 +1803,11 @@ mod tests {
         assert_eq!(m.num_annotations(), 1);
         assert_eq!(m.num_inverted_entries(), 2);
 
-        m.unregister_views(&[p]);
+        m.unregister_views(&[p], m.clock().now());
         assert_eq!(m.num_annotations(), 0, "annotation leaked");
         assert_eq!(m.num_inverted_entries(), 0, "inverted entries leaked");
         assert_eq!(m.num_tag_buckets(), 0, "empty tag buckets not drained");
-        let r = m
-            .relevant_views_for(JobId::new(2), &["in/a.ss".into()])
-            .unwrap();
+        let r = lookup_at_clock(&m, JobId::new(2), &["in/a.ss".into()]).unwrap();
         assert!(r.annotations.is_empty(), "dead view still matches lookups");
         assert_eq!(m.stats().purged_annotations, 1);
     }
@@ -1874,10 +1834,10 @@ mod tests {
             SimTime::ZERO,
             SimTime::MAX,
         ));
-        m.unregister_views(&[p1]);
+        m.unregister_views(&[p1], m.clock().now());
         assert_eq!(m.num_annotations(), 1, "live view's annotation was swept");
         assert_eq!(m.num_inverted_entries(), 1);
-        m.unregister_views(&[p2]);
+        m.unregister_views(&[p2], m.clock().now());
         assert_eq!(m.num_annotations(), 0);
         assert_eq!(m.num_inverted_entries(), 0);
     }
@@ -1905,12 +1865,16 @@ mod tests {
         // View dead, but still inside the grace window: the annotation must
         // survive so the next recurring instance can rebuild.
         clock.advance(SimDuration::from_secs(200));
-        assert_eq!(m.purge_expired().views_purged, 1, "expired view purged");
+        assert_eq!(
+            m.purge_expired(m.clock().now()).views_purged,
+            1,
+            "expired view purged"
+        );
         assert_eq!(m.num_annotations(), 1, "annotation swept inside grace");
 
         // Past view expiry + TTL with no rebuild: swept, buckets drained.
         clock.advance(ttl);
-        let sweep = m.purge_expired();
+        let sweep = m.purge_expired(m.clock().now());
         assert_eq!(sweep.views_purged, 0);
         assert_eq!(sweep.annotations_purged, 1);
         assert_eq!(m.num_annotations(), 0, "annotation leaked past grace");
@@ -1940,7 +1904,7 @@ mod tests {
                 now + day,
             ));
             clock.advance(day + SimDuration::from_secs(1));
-            m.purge_expired();
+            m.purge_expired(m.clock().now());
             assert_eq!(
                 m.num_annotations(),
                 1,
@@ -1951,7 +1915,7 @@ mod tests {
         }
         // The workload stops: one grace TTL later the entry drains.
         clock.advance(day + day);
-        m.purge_expired();
+        m.purge_expired(m.clock().now());
         assert_eq!(m.num_annotations(), 0);
         assert_eq!(m.num_inverted_entries(), 0);
     }
@@ -1988,7 +1952,7 @@ mod tests {
         clock.advance(SimDuration::from_secs(10 + 3600 + 1));
         let mut total = PurgeSweep::default();
         for _ in 0..m.num_shards() {
-            total.absorb(m.purge_next_shard());
+            total.absorb(m.purge_next_shard(m.clock().now()));
         }
         assert_eq!(total.views_purged, 40);
         assert_eq!(total.annotations_purged, 40);
@@ -2027,8 +1991,7 @@ mod tests {
                 let m = Arc::clone(&m);
                 let wins = Arc::clone(&wins);
                 std::thread::spawn(move || {
-                    if m.propose_now(p, JobId::new(i), SimDuration::from_secs(60))
-                        .unwrap()
+                    if propose_at_clock(&m, p, JobId::new(i), SimDuration::from_secs(60)).unwrap()
                         == LockOutcome::Acquired
                     {
                         wins.fetch_add(1, Ordering::SeqCst);
@@ -2051,8 +2014,7 @@ mod tests {
         let m = Arc::new(MetadataService::new(Arc::clone(&clock), 1));
         let p = sip128(b"crashed-builder");
         assert_eq!(
-            m.propose_now(p, JobId::new(99), SimDuration::from_secs(10))
-                .unwrap(),
+            propose_at_clock(&m, p, JobId::new(99), SimDuration::from_secs(10)).unwrap(),
             LockOutcome::Acquired
         );
         clock.advance(SimDuration::from_secs(11)); // builder crashed; lock lapsed
@@ -2060,8 +2022,7 @@ mod tests {
             .map(|i| {
                 let m = Arc::clone(&m);
                 std::thread::spawn(move || {
-                    m.propose_now(p, JobId::new(i), SimDuration::from_secs(60))
-                        .unwrap()
+                    propose_at_clock(&m, p, JobId::new(i), SimDuration::from_secs(60)).unwrap()
                 })
             })
             .collect();
@@ -2093,7 +2054,7 @@ mod tests {
             // is propose-vs-registration, not propose-vs-propose (under
             // load the contender could otherwise win the first propose).
             assert_eq!(
-                m.propose_now(p, JobId::new(1), ttl).unwrap(),
+                propose_at_clock(&m, p, JobId::new(1), ttl).unwrap(),
                 LockOutcome::Acquired
             );
             let builder = {
@@ -2112,7 +2073,7 @@ mod tests {
             let contender = {
                 let m = Arc::clone(&m);
                 std::thread::spawn(move || loop {
-                    match m.propose_now(p, JobId::new(2), ttl).unwrap() {
+                    match propose_at_clock(&m, p, JobId::new(2), ttl).unwrap() {
                         LockOutcome::Acquired => break false,
                         LockOutcome::AlreadyMaterialized => break true,
                         LockOutcome::AlreadyLocked => std::hint::spin_loop(),
@@ -2235,20 +2196,23 @@ mod tests {
         m.set_fault_injector(Some(FaultInjector::new(plan)));
         let ttl = SimDuration::from_secs(60);
 
-        let err = m.relevant_views_for(job, &["t".into()]).unwrap_err();
+        let err = lookup_at_clock(&m, job, &["t".into()]).unwrap_err();
         assert_eq!(err.kind(), "service_unavailable");
         assert!(err.is_degradable());
         // Retry succeeds (call index 1).
         assert_eq!(
-            m.relevant_views_for(job, &["t".into()])
+            lookup_at_clock(&m, job, &["t".into()])
                 .unwrap()
                 .annotations
                 .len(),
             1
         );
 
-        assert!(m.propose_now(p, job, ttl).is_err());
-        assert_eq!(m.propose_now(p, job, ttl).unwrap(), LockOutcome::Acquired);
+        assert!(propose_at_clock(&m, p, job, ttl).is_err());
+        assert_eq!(
+            propose_at_clock(&m, p, job, ttl).unwrap(),
+            LockOutcome::Acquired
+        );
 
         assert!(m
             .report(ReportRequest::new(
@@ -2285,7 +2249,7 @@ mod tests {
             (1, 1, 1)
         );
         // Other jobs are untouched by the scripted plan.
-        assert!(m.relevant_views_for(JobId::new(6), &["t".into()]).is_ok());
+        assert!(lookup_at_clock(&m, JobId::new(6), &["t".into()]).is_ok());
     }
 
     #[test]

@@ -315,7 +315,7 @@ impl Stage for ExecuteStage {
                             // anywhere, and a wall-clock read here could GC
                             // annotations that were live at the recorded
                             // instant.
-                            cv.metadata.unregister_views_at(&[r.precise], ctx.start);
+                            cv.metadata.unregister_views(&[r.precise], ctx.start);
                             cv.storage.delete_view(r.precise);
                             ctx.faults.dead_views_unregistered += 1;
                         }
@@ -636,12 +636,6 @@ pub struct PipelineOptions {
     /// Jobs admitted concurrently (the admission-control bound). `0` means
     /// unbounded.
     pub max_in_flight: usize,
-    /// Run the incremental metadata janitor as a background stage of the
-    /// pool: after each job, the finishing worker sweeps one metadata
-    /// shard ([`MetadataService::purge_next_shard`]), so expired views and
-    /// the annotation/inverted-index entries they strand are reclaimed
-    /// continuously instead of in stop-the-world purges.
-    pub janitor: bool,
 }
 
 /// Counting semaphore (permits + condvar) bounding jobs in flight.
@@ -731,6 +725,7 @@ impl CloudViews {
         mode: RunMode,
         options: PipelineOptions,
     ) -> Vec<Result<JobRunReport>> {
+        #[allow(clippy::disallowed_methods)] // driver admission: the wave's submission time
         let start = self.clock.now();
         self.run_many_inner(specs, mode, options, start, None)
     }
@@ -775,10 +770,10 @@ impl CloudViews {
         // queues, the admission semaphore, and the spawned thread only add
         // overhead (the pooled path used to run ~12% slower than the serial
         // driver on a single-core host). Run inline on the calling thread;
-        // panic isolation, result order, and the janitor cadence are
-        // identical to the pooled path. Submission order dispatches every
-        // producer before its followers (producers are the earliest job of
-        // their group), so the window's readiness gate is trivially met.
+        // panic isolation and result order are identical to the pooled
+        // path. Submission order dispatches every producer before its
+        // followers (producers are the earliest job of their group), so the
+        // window's readiness gate is trivially met.
         if workers == 1 {
             return specs
                 .iter()
@@ -791,17 +786,13 @@ impl CloudViews {
                     if let Some(w) = window {
                         w.resolve_job(slot);
                     }
-                    let result = match outcome {
+                    match outcome {
                         Ok(result) => result,
                         Err(payload) => Err(ScopeError::Execution(format!(
                             "job {job} thread panicked: {}",
                             panic_message(payload.as_ref())
                         ))),
-                    };
-                    if options.janitor {
-                        self.metadata.purge_next_shard();
                     }
-                    result
                 })
                 .collect();
         }
@@ -841,9 +832,6 @@ impl CloudViews {
                                 ))),
                             };
                             *results[slot].lock().expect("result slot poisoned") = Some(result);
-                            if options.janitor {
-                                self.metadata.purge_next_shard();
-                            }
                         }
                     });
                 }
@@ -882,12 +870,6 @@ impl CloudViews {
                                 ))),
                             };
                             *results[idx].lock().expect("result slot poisoned") = Some(result);
-                            if options.janitor {
-                                // Background janitor stage: the worker that
-                                // just finished a job sweeps one metadata
-                                // shard.
-                                self.metadata.purge_next_shard();
-                            }
                         }
                     });
                 }
@@ -939,7 +921,6 @@ mod tests {
             PipelineOptions {
                 workers: 3,
                 max_in_flight: 2,
-                janitor: false,
             },
         );
         let ids: Vec<_> = reports.iter().map(|r| r.as_ref().unwrap().job).collect();
@@ -959,7 +940,6 @@ mod tests {
             PipelineOptions {
                 workers: 1,
                 max_in_flight: 1,
-                janitor: false,
             },
         );
 
@@ -994,7 +974,6 @@ mod tests {
             PipelineOptions {
                 workers: 2,
                 max_in_flight: 0,
-                janitor: false,
             },
         );
         let (ok, failed): (Vec<_>, Vec<_>) = results.iter().partition(|r| r.is_ok());
@@ -1019,7 +998,6 @@ mod tests {
             PipelineOptions {
                 workers: 4,
                 max_in_flight: 1,
-                janitor: false,
             },
         );
         assert_eq!(reports.len(), n);

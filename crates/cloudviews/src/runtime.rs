@@ -63,7 +63,7 @@ use crate::api::LookupRequest;
 use crate::codec::{get_sigs, get_time, put_sigs, put_time};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::metadata::MetadataService;
-use crate::pipeline::{self, PipelineOptions};
+use crate::pipeline;
 use crate::sharing::WindowContext;
 use crate::store::{DurableStore, WalEvent};
 use scope_common::codec::{CodecError, Dec, Enc};
@@ -365,10 +365,12 @@ pub struct CloudViews {
     pub(crate) metrics: RuntimeMetrics,
 }
 
-/// Fluent construction for [`CloudViews`]: every collaborating service
-/// (clock, fault plan, degradation policy, telemetry sink) is wired up
-/// before the service exists, so no caller can observe a half-configured
-/// runtime.
+/// Fluent construction for [`CloudViews`]: the clock, the telemetry sink,
+/// the analyzer, and durable recovery are wired up before the service
+/// exists, so no caller can observe a half-configured runtime. Tuning that
+/// is safe to change afterwards (`degradation`, `max_materialize_per_job`,
+/// `cost`, `cluster`) lives in public fields, and fault plans are installed
+/// with [`CloudViews::install_fault_plan`].
 ///
 /// ```
 /// use std::sync::Arc;
@@ -376,52 +378,33 @@ pub struct CloudViews {
 /// use scope_engine::storage::StorageManager;
 ///
 /// let cv = CloudViewsBuilder::new(Arc::new(StorageManager::new()))
-///     .max_materialize_per_job(2)
+///     .early_materialization(false)
 ///     .build();
 /// assert!(cv.telemetry.is_enabled());
 /// ```
 pub struct CloudViewsBuilder {
     storage: Arc<StorageManager>,
-    clock: Arc<SimClock>,
-    metadata_threads: usize,
-    metadata_shards: usize,
-    cost: CostModel,
-    cluster: ClusterConfig,
-    max_materialize_per_job: usize,
     early_materialization: bool,
     subsumption: bool,
     record_runs: bool,
-    degradation: DegradationPolicy,
-    fault_plan: Option<FaultPlan>,
     telemetry: Arc<Telemetry>,
-    templates: Arc<TemplateCache>,
     incremental_analyzer: Option<AnalyzerConfig>,
-    analyzer_workers: usize,
     durable: Option<PathBuf>,
     snapshot_threshold: u64,
 }
 
 impl CloudViewsBuilder {
     /// A builder with the default configuration: fresh clock, 5 metadata
-    /// service threads, early materialization on, telemetry enabled.
+    /// service threads over 16 shards, the default cost model and cluster,
+    /// one view build per job, early materialization on, telemetry enabled.
     pub fn new(storage: Arc<StorageManager>) -> CloudViewsBuilder {
         CloudViewsBuilder {
             storage,
-            clock: Arc::new(SimClock::new()),
-            metadata_threads: 5,
-            metadata_shards: 16,
-            cost: CostModel::default(),
-            cluster: ClusterConfig::default(),
-            max_materialize_per_job: 1,
             early_materialization: true,
             subsumption: true,
             record_runs: true,
-            degradation: DegradationPolicy::default(),
-            fault_plan: None,
             telemetry: Telemetry::new(),
-            templates: Arc::new(TemplateCache::new()),
             incremental_analyzer: None,
-            analyzer_workers: 1,
             durable: None,
             snapshot_threshold: crate::store::DEFAULT_SNAPSHOT_THRESHOLD,
         }
@@ -445,45 +428,6 @@ impl CloudViewsBuilder {
         self
     }
 
-    /// Shares an existing simulated clock (e.g. across services).
-    pub fn clock(mut self, clock: Arc<SimClock>) -> Self {
-        self.clock = clock;
-        self
-    }
-
-    /// Metadata service thread count (affects modeled lookup latency).
-    /// `build` clamps `0` to 1; `try_build` rejects it with a typed error.
-    pub fn metadata_threads(mut self, threads: usize) -> Self {
-        self.metadata_threads = threads;
-        self
-    }
-
-    /// Metadata service shard count (clamped to a power of two in
-    /// `1..=1024`). `1` gives the pre-shard global-lock layout, useful as
-    /// a contention baseline.
-    pub fn metadata_shards(mut self, shards: usize) -> Self {
-        self.metadata_shards = shards;
-        self
-    }
-
-    /// Cost model used for execution accounting.
-    pub fn cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Cluster/VC execution parameters.
-    pub fn cluster(mut self, cluster: ClusterConfig) -> Self {
-        self.cluster = cluster;
-        self
-    }
-
-    /// Per-job cap on materialized views.
-    pub fn max_materialize_per_job(mut self, max: usize) -> Self {
-        self.max_materialize_per_job = max;
-        self
-    }
-
     /// Publish views at stage completion (true) or job completion (false).
     pub fn early_materialization(mut self, early: bool) -> Self {
         self.early_materialization = early;
@@ -502,30 +446,10 @@ impl CloudViewsBuilder {
         self
     }
 
-    /// How to absorb failures.
-    pub fn degradation(mut self, policy: DegradationPolicy) -> Self {
-        self.degradation = policy;
-        self
-    }
-
-    /// Installs a fault plan at construction; read the injected-fault
-    /// ledger afterwards via [`CloudViews::faults`].
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
     /// Shares a telemetry sink (e.g. one registry across services, or a
     /// disabled sink for overhead baselines).
     pub fn telemetry(mut self, sink: Arc<Telemetry>) -> Self {
         self.telemetry = sink;
-        self
-    }
-
-    /// Shares a compile-path template cache (e.g. one cache across service
-    /// instances, or a pre-warmed cache in benchmarks).
-    pub fn template_cache(mut self, templates: Arc<TemplateCache>) -> Self {
-        self.templates = templates;
         self
     }
 
@@ -538,58 +462,19 @@ impl CloudViewsBuilder {
         self
     }
 
-    /// Worker threads for the analyzer's parallel overlap fold (`0` = one
-    /// per available core; the fold runs inline when one worker suffices).
-    pub fn analyzer_workers(mut self, workers: usize) -> Self {
-        self.analyzer_workers = workers;
-        self
-    }
-
-    /// Like [`CloudViewsBuilder::build`], but rejects configurations the
-    /// infallible path silently corrects: `metadata_threads == 0` would
-    /// make the modeled lookup latency divide by zero (the service clamps
-    /// it, but a caller setting 0 explicitly almost certainly miscomputed
-    /// a thread count and should hear about it).
+    /// Like [`CloudViewsBuilder::build`], but returns a failure to open or
+    /// replay the on-disk state ([`CloudViewsBuilder::durable`]) as a
+    /// `Result` instead of panicking.
     pub fn try_build(self) -> Result<CloudViews> {
-        if self.metadata_threads == 0 {
-            return Err(ScopeError::Metadata(
-                "metadata_threads must be >= 1 (the modeled lookup latency \
-                 divides the service term by the thread count)"
-                    .into(),
-            ));
-        }
-        self.build_inner()
-    }
-
-    /// Assembles the service: builds the metadata service on the shared
-    /// clock and wires the fault injector and telemetry sink into every
-    /// component.
-    ///
-    /// Panics when [`CloudViewsBuilder::durable`] was set and opening or
-    /// replaying the on-disk state fails; use
-    /// [`CloudViewsBuilder::try_build`] to handle that as a `Result`.
-    pub fn build(self) -> CloudViews {
-        self.build_inner()
-            .expect("CloudViews durable-state recovery failed")
-    }
-
-    fn build_inner(self) -> Result<CloudViews> {
-        let metadata = Arc::new(MetadataService::with_shards(
-            Arc::clone(&self.clock),
-            self.metadata_threads,
-            self.metadata_shards,
-        ));
+        let clock = Arc::new(SimClock::new());
+        let metadata = Arc::new(MetadataService::new(Arc::clone(&clock), 5));
         metadata.set_telemetry(Some(Arc::clone(&self.telemetry)));
         self.storage
             .set_telemetry(Some(Arc::clone(&self.telemetry)));
-        let faults = self.fault_plan.map(FaultInjector::new);
-        if let Some(inj) = &faults {
-            metadata.set_fault_injector(Some(Arc::clone(inj)));
-        }
         let metrics = RuntimeMetrics::new(&self.telemetry);
         let analyzer = self
             .incremental_analyzer
-            .map(|cfg| Arc::new(IncrementalAnalyzer::new(cfg, self.analyzer_workers)));
+            .map(|cfg| Arc::new(IncrementalAnalyzer::new(cfg, 1)));
 
         let (repo, durable) = match &self.durable {
             Some(path) => {
@@ -642,7 +527,7 @@ impl CloudViewsBuilder {
                 if let Some(a) = &analyzer {
                     a.absorb(&repo);
                 }
-                self.clock.advance_to(max_t);
+                clock.advance_to(max_t);
                 // Hooks attach *last*: everything above is replay and must
                 // not be re-logged.
                 metadata.set_durable(Some(Arc::clone(&store)));
@@ -661,21 +546,32 @@ impl CloudViewsBuilder {
             storage: self.storage,
             metadata,
             repo,
-            clock: self.clock,
-            cost: self.cost,
-            cluster: self.cluster,
-            max_materialize_per_job: self.max_materialize_per_job,
+            clock,
+            cost: CostModel::default(),
+            cluster: ClusterConfig::default(),
+            max_materialize_per_job: 1,
             early_materialization: self.early_materialization,
             subsumption: self.subsumption,
             record_runs: self.record_runs,
-            degradation: self.degradation,
-            faults,
+            degradation: DegradationPolicy::default(),
+            faults: None,
             telemetry: self.telemetry,
-            templates: self.templates,
+            templates: Arc::new(TemplateCache::new()),
             analyzer,
             durable,
             metrics,
         })
+    }
+
+    /// Assembles the service: builds the metadata service on a fresh clock
+    /// and wires the telemetry sink into every component.
+    ///
+    /// Panics when [`CloudViewsBuilder::durable`] was set and opening or
+    /// replaying the on-disk state fails; use
+    /// [`CloudViewsBuilder::try_build`] to handle that as a `Result`.
+    pub fn build(self) -> CloudViews {
+        self.try_build()
+            .expect("CloudViews durable-state recovery failed")
     }
 }
 
@@ -691,7 +587,9 @@ impl CloudViews {
     /// the builder's recovery path.
     fn snapshot_payload(&self) -> Vec<u8> {
         let mut e = Enc::new();
-        put_time(&mut e, self.clock.now());
+        #[allow(clippy::disallowed_methods)] // the persisted clock is the service's, not a job's
+        let now = self.clock.now();
+        put_time(&mut e, now);
         e.buf.extend_from_slice(&self.metadata.export_state());
         let prev = self
             .analyzer
@@ -739,6 +637,7 @@ impl CloudViews {
 
     /// Runs the analyzer over everything recorded so far. Phase timings and
     /// candidate/selected counts land in the `cv_analyzer_*` series.
+    #[allow(clippy::disallowed_methods)] // analysis spans: an admin run has no job time
     pub fn analyze(&self, config: &AnalyzerConfig) -> Result<AnalysisOutcome> {
         let span = self
             .telemetry
@@ -776,6 +675,7 @@ impl CloudViews {
     /// selection, not the repository's age. Requires
     /// [`CloudViewsBuilder::incremental_analyzer`]; round deltas land in
     /// the `cv_analyzer_round_*` series and [`IncrementalAnalyzer::last_delta`].
+    #[allow(clippy::disallowed_methods)] // analysis spans: an admin run has no job time
     pub fn analyze_round(&self) -> Result<AnalysisOutcome> {
         let analyzer = self.analyzer.as_ref().ok_or_else(|| {
             ScopeError::Metadata(
@@ -961,10 +861,12 @@ impl CloudViews {
                     .finish_with(root, start + report.latency, Some(outcome));
             }
             Err(_) => {
+                // A failed job has no end of its own: close the span at its
+                // pinned start, which no peer job can move.
                 m.jobs_failed.inc();
                 self.telemetry
                     .tracer
-                    .finish_with(root, self.clock.now(), Some("failed"));
+                    .finish_with(root, start, Some("failed"));
             }
         }
         // Durable mode: compact the WAL once it outgrows the threshold.
@@ -1040,6 +942,7 @@ impl CloudViews {
     /// like the paper's sequential production experiment.
     pub fn run_sequence(&self, specs: &[JobSpec], mode: RunMode) -> Result<Vec<JobRunReport>> {
         let mut reports = Vec::with_capacity(specs.len());
+        #[allow(clippy::disallowed_methods)] // driver admission: the first job's submission time
         let mut now = self.clock.now();
         for spec in specs {
             let report = self.run_job_at(spec, mode, now)?;
@@ -1049,47 +952,16 @@ impl CloudViews {
         Ok(reports)
     }
 
-    /// Runs jobs all submitted at the same simulated time — the
-    /// concurrent-arrival scenario of Sections 6.4/6.5. Returns one
-    /// `Result` per job, in submission order: a job whose worker panics (or
-    /// errors) yields its own `Err` without aborting the driver or the
-    /// other jobs.
-    ///
-    /// This is [`CloudViews::run_many`] with one worker per job and no
-    /// admission bound (maximum contention on the build/use locks).
-    pub fn run_concurrent_results(
-        &self,
-        specs: Vec<JobSpec>,
-        mode: RunMode,
-    ) -> Vec<Result<JobRunReport>> {
-        let workers = specs.len().max(1);
-        self.run_many(
-            specs,
-            mode,
-            PipelineOptions {
-                workers,
-                max_in_flight: 0,
-                janitor: false,
-            },
-        )
-    }
-
-    /// Like [`CloudViews::run_concurrent_results`], collected into one
-    /// `Result`: the first failing job's error is returned, but only after
-    /// every job has finished (a pathological job cannot abort the driver
-    /// mid-flight).
-    pub fn run_concurrent(&self, specs: Vec<JobSpec>, mode: RunMode) -> Result<Vec<JobRunReport>> {
-        self.run_concurrent_results(specs, mode)
-            .into_iter()
-            .collect()
-    }
-
     /// Purges expired views from both the metadata service and storage
-    /// (a full sweep of every metadata shard; the incremental alternative
-    /// is the pipeline janitor, `PipelineOptions::janitor`).
+    /// (a full sweep of every metadata shard). An admin operation: the
+    /// clock is read once, and both stores purge at that one instant, so a
+    /// concurrent job advancing the clock cannot make storage delete the
+    /// file of a view the metadata service still lists.
     pub fn purge_expired(&self) -> PurgeReport {
-        let sweep = self.metadata.purge_expired();
-        let bytes_reclaimed = self.storage.purge_expired(self.clock.now());
+        #[allow(clippy::disallowed_methods)] // admin GC: no job time exists
+        let now = self.clock.now();
+        let sweep = self.metadata.purge_expired(now);
+        let bytes_reclaimed = self.storage.purge_expired(now);
         PurgeReport {
             views_purged: sweep.views_purged,
             annotations_purged: sweep.annotations_purged,
@@ -1102,6 +974,7 @@ impl CloudViews {
 mod tests {
     use super::*;
     use crate::analyzer::{AnalyzerConfig, SelectionPolicy};
+    use crate::pipeline::PipelineOptions;
     use scope_workload::dists::LogNormal;
     use scope_workload::recurring::{ClusterSpec, RecurringWorkload, WorkloadConfig};
 
@@ -1213,7 +1086,19 @@ mod tests {
             .register_instance_data(0, 1, &cv.storage, 1.0)
             .unwrap();
         let day1 = workload.jobs_for_instance(0, 1).unwrap();
-        let reports = cv.run_concurrent(day1, RunMode::CloudViews).unwrap();
+        let workers = day1.len();
+        let reports = cv
+            .run_many(
+                day1,
+                RunMode::CloudViews,
+                PipelineOptions {
+                    workers,
+                    max_in_flight: 0,
+                },
+            )
+            .into_iter()
+            .collect::<Result<Vec<_>>>()
+            .unwrap();
 
         // No view may be built by two jobs.
         let mut built: Vec<Sig128> = reports

@@ -668,6 +668,7 @@ impl CloudViews {
             };
         }
         let window_len = SimDuration::from_micros(cfg.window.micros().max(1));
+        #[allow(clippy::disallowed_methods)] // driver admission: windows are offsets from here
         let base = self.clock.now();
 
         // Bucket arrivals into admission windows, preserving input order

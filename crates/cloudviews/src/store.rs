@@ -64,7 +64,7 @@ const KV_FLUSH_THRESHOLD: u64 = 4 << 20;
 #[derive(Clone, Debug)]
 pub enum WalEvent {
     /// An analyzer round shipped a fresh annotation set
-    /// (`MetadataService::load_annotations_at`).
+    /// (`MetadataService::load_annotations`).
     LoadAnnotations {
         /// The selected views, in shipped order.
         selected: Vec<SelectedView>,

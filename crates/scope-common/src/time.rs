@@ -203,6 +203,7 @@ impl SimClock {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the clock's own tests read it
 mod tests {
     use super::*;
 

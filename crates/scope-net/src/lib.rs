@@ -9,9 +9,10 @@
 //!
 //! * [`wire`] — versioned, length-prefixed binary frames (magic, protocol
 //!   version, frame type, payload length), hand-rolled — no serde;
-//! * [`codec`] — bounds-checked encode/decode for every type that rides
-//!   the wire, sharing the exact `cloudviews::api` request structs the
-//!   in-process facade takes;
+//! * payloads — bounds-checked encode/decode from `cloudviews::codec` (the
+//!   typed domain encoders) over `scope_common::codec` (the buffer layer),
+//!   the same bytes the durable store writes, carrying the exact
+//!   `cloudviews::api` request structs the in-process facade takes;
 //! * [`proto`] — typed [`Request`]/[`Response`] enums for the five
 //!   endpoints (`lookup`, `propose`, `report`, `purge`, `stats`) plus the
 //!   [`ErrorFrame`] mapping the [`ScopeError`](scope_common::ScopeError)
@@ -43,7 +44,6 @@
 //! ```
 
 pub mod client;
-pub mod codec;
 pub mod proto;
 pub mod server;
 pub mod wire;

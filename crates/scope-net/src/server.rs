@@ -564,7 +564,11 @@ fn process(req: &Request, shared: &Shared) -> Response {
             Ok(()) => Response::Report,
             Err(e) => Response::Error(ErrorFrame::from_scope_error(&e)),
         },
-        Request::Purge => Response::Purge(shared.service.purge_expired()),
+        Request::Purge => {
+            #[allow(clippy::disallowed_methods)] // admin GC: a purge frame carries no time
+            let now = shared.service.clock().now();
+            Response::Purge(shared.service.purge_expired(now))
+        }
         Request::Stats => Response::Stats(shared.service.stats()),
     };
     if m.enabled() {

@@ -9,7 +9,7 @@
 //! | 6      | 1    | frame type (see [`frame_type`])         |
 //! | 7      | 1    | reserved (must be 0)                    |
 //! | 8      | 4    | payload length (little-endian)          |
-//! | 12     | n    | payload ([`codec`](crate::codec) bytes) |
+//! | 12     | n    | payload (`cloudviews::codec` bytes)     |
 //!
 //! The header is fixed-size and validated before a single payload byte is
 //! read, so a malformed peer costs at most 12 bytes of buffering: bad magic,
@@ -21,6 +21,8 @@
 
 use std::fmt;
 use std::io::{Read, Write};
+
+use scope_common::codec::CodecError;
 
 /// Frame magic: first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"SCPN";
@@ -107,6 +109,14 @@ impl fmt::Display for WireError {
             WireError::Oversized(n) => write!(f, "payload length {n} exceeds {MAX_PAYLOAD}"),
             WireError::Malformed(m) => write!(f, "malformed payload: {m}"),
         }
+    }
+}
+
+/// Payload decoding reports malformed bytes as [`WireError::Malformed`],
+/// so frame decoding can use `?` on the shared codec.
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> WireError {
+        WireError::Malformed(e.0)
     }
 }
 

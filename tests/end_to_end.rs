@@ -2,10 +2,13 @@
 //! generation → baseline runs → analyzer → metadata service → optimizer
 //! rewriting → execution → correctness and savings.
 
+// Single-job steps pin their submission time to the service clock.
+#![allow(clippy::disallowed_methods)]
+
 use std::sync::Arc;
 
 use cloudviews::analyzer::{AnalyzerConfig, SelectionConstraints, SelectionPolicy};
-use cloudviews::{CloudViews, ReportRequest, RunMode};
+use cloudviews::{CloudViews, LookupRequest, PipelineOptions, ReportRequest, RunMode};
 use scope_common::time::{SimDuration, SimTime};
 use scope_engine::storage::StorageManager;
 use scope_workload::dists::LogNormal;
@@ -101,7 +104,19 @@ fn concurrent_jobs_build_each_view_once() {
 
     w.register_instance_data(0, 1, &cv.storage, 0.5).unwrap();
     let day1 = w.jobs_for_instance(0, 1).unwrap();
-    let reports = cv.run_concurrent(day1, RunMode::CloudViews).unwrap();
+    let workers = day1.len();
+    let reports = cv
+        .run_many(
+            day1,
+            RunMode::CloudViews,
+            PipelineOptions {
+                workers,
+                max_in_flight: 0,
+            },
+        )
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap();
     let mut built: Vec<_> = reports
         .iter()
         .flat_map(|r| r.views_built.iter().copied())
@@ -198,11 +213,35 @@ fn baseline_and_enabled_interleave_safely() {
 
 #[test]
 fn offline_mode_builds_views_upfront() {
+    use cloudviews::{LockOutcome, MetadataService, ProposeRequest};
+    use scope_common::hash::Sig128;
+    use scope_common::ids::JobId;
     use scope_engine::exec::execute_plan;
     use scope_engine::job::materialize_marked_views;
-    use scope_engine::optimizer::{optimize, OptimizerConfig};
+    use scope_engine::optimizer::{optimize, AvailableView, OptimizerConfig, ViewServices};
     use scope_engine::sim::{simulate, ClusterConfig};
     use scope_signature::job_tags;
+
+    /// The metadata service as the optimizer's view oracle, pinned at the
+    /// offline build's time.
+    struct Pinned<'a>(&'a MetadataService, SimTime);
+
+    impl ViewServices for Pinned<'_> {
+        fn view_available(&self, precise: Sig128) -> Option<AvailableView> {
+            self.0.view_available_at(precise, self.1)
+        }
+
+        fn propose_materialize(
+            &self,
+            precise: Sig128,
+            _normalized: Sig128,
+            job: JobId,
+            lock_ttl: SimDuration,
+        ) -> bool {
+            let req = ProposeRequest::new(precise, job, lock_ttl, self.1);
+            matches!(self.0.propose(&req), Ok(LockOutcome::Acquired))
+        }
+    }
 
     let w = workload(71);
     let cv = CloudViews::builder(Arc::new(StorageManager::new())).build();
@@ -217,12 +256,10 @@ fn offline_mode_builds_views_upfront() {
     w.register_instance_data(0, 1, &cv.storage, 0.5).unwrap();
     let day1 = w.jobs_for_instance(0, 1).unwrap();
     let mut prebuilt = 0;
+    let oracle = Pinned(cv.metadata.as_ref(), cv.clock.now());
     for spec in &day1 {
-        let annotations = cv
-            .metadata
-            .relevant_views_for(spec.id, &job_tags(&spec.graph))
-            .unwrap()
-            .annotations;
+        let req = LookupRequest::new(spec.id, &job_tags(&spec.graph), oracle.1);
+        let annotations = cv.metadata.lookup(&req).unwrap().annotations;
         if annotations.is_empty() {
             continue;
         }
@@ -231,13 +268,7 @@ fn offline_mode_builds_views_upfront() {
             enable_reuse: false,
             ..Default::default()
         };
-        let Ok(plan) = optimize(
-            &spec.graph,
-            &annotations,
-            cv.metadata.as_ref(),
-            &cfg,
-            spec.id,
-        ) else {
+        let Ok(plan) = optimize(&spec.graph, &annotations, &oracle, &cfg, spec.id) else {
             continue; // nothing to build for this job
         };
         let exec = execute_plan(&plan.physical, &cv.storage, &cv.cost, SimTime::ZERO).unwrap();

@@ -7,13 +7,16 @@
 //! no build lock outlives its mined expiry horizon, and the per-job
 //! degradation counters account for every injected fault.
 
+// Single-job steps pin their submission time to the service clock.
+#![allow(clippy::disallowed_methods)]
+
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use cloudviews::analyzer::{AnalyzerConfig, SelectionConstraints, SelectionPolicy};
 use cloudviews::api::ProposeRequest;
-use cloudviews::{CloudViews, FaultPlan, FaultSite, RunMode, ScriptedFault};
+use cloudviews::{CloudViews, FaultPlan, FaultSite, PipelineOptions, RunMode, ScriptedFault};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use scope_common::hash::Sig128;
@@ -76,6 +79,15 @@ fn primed_service(
         .map(|r| (r.job.raw(), r.output_checksums.clone()))
         .collect();
     (cv, w, day1, checksums)
+}
+
+/// A worker per job and unbounded admission: every job of the wave is in
+/// flight at once (maximum contention on the build and use locks).
+fn thread_per_job(specs: &[JobSpec]) -> PipelineOptions {
+    PipelineOptions {
+        workers: specs.len(),
+        max_in_flight: 0,
+    }
 }
 
 /// Asserts each report's outputs are row-multiset-identical to the
@@ -242,13 +254,62 @@ fn builder_crash_restarts_job_and_output_is_unaffected() {
     assert_locks_reclaimable(&cv, "builder crash");
 }
 
+/// A failed job's root span closes at its pinned submission time, never at
+/// the live clock its peers advance: the same wave on one worker and on
+/// four gives the doomed job the same root span (start, end, outcome).
+#[test]
+fn failed_job_root_span_is_identical_across_worker_counts() {
+    let root_span = |workers: usize| {
+        let (mut cv, _, day1, _) = primed_service(33);
+        let doomed = day1[0].id;
+        // Crashes for two runs of every attempt: the solo run, then the wave.
+        let attempts = 2 * (cv.degradation.max_restarts as u64 + 1);
+        cv.install_fault_plan(FaultPlan {
+            scripted: (0..attempts)
+                .map(|call_index| ScriptedFault {
+                    site: FaultSite::BuilderCrash,
+                    job: Some(doomed),
+                    call_index,
+                })
+                .collect(),
+            ..Default::default()
+        });
+        // Alone first, so the doomed job deterministically holds its build
+        // lock; in the wave it re-acquires the lock as holder and dies
+        // again while its peers are refused the lock.
+        cv.run_job_at(&day1[0], RunMode::CloudViews, cv.clock.now())
+            .expect_err("the doomed builder must exhaust its restarts");
+        cv.telemetry.tracer.clear();
+        // Last in the wave: on one worker every peer advances the clock
+        // before the doomed job fails.
+        let mut wave = day1[1..].to_vec();
+        wave.push(day1[0].clone());
+        let options = PipelineOptions {
+            workers,
+            max_in_flight: 0,
+        };
+        let results = cv.run_many(wave, RunMode::CloudViews, options);
+        let (last, peers) = results.split_last().unwrap();
+        assert!(last.is_err(), "{workers} workers: the doomed job must fail");
+        assert!(peers.iter().all(Result::is_ok), "{workers} workers");
+        let spans = cv.telemetry.tracer.spans_for_job(doomed);
+        let roots: Vec<_> = spans.iter().filter(|s| s.parent.is_none()).collect();
+        assert_eq!(roots.len(), 1, "{workers} workers: one root span");
+        (roots[0].sim_start, roots[0].sim_end, roots[0].outcome)
+    };
+    let serial = root_span(1);
+    assert_eq!(serial.2, Some("failed"));
+    assert_eq!(serial.1, serial.0, "a failed job's span ends at its start");
+    assert_eq!(root_span(4), serial);
+}
+
 #[test]
 fn permanently_crashed_builder_fails_alone_and_lock_is_taken_over() {
     let (mut cv, w, day1, baseline) = primed_service(33);
     // One job's builder dies on every attempt: the job fails (bounded
     // restarts), its exclusive build lock stays held, and — satellite of
     // the paper's Section 6.1 claim — the lock lapses at its mined expiry
-    // so a later job can take over the build. run_concurrent must report
+    // so a later job can take over the build. run_many must report
     // the dead job's error without aborting the other jobs.
     let doomed = day1[0].id;
     let scripted = (0..=cv.degradation.max_restarts as u64)
@@ -282,7 +343,7 @@ fn permanently_crashed_builder_fails_alone_and_lock_is_taken_over() {
     let mut wave: Vec<JobSpec> = day1[1..].to_vec();
     let broken_idx = wave.len();
     wave.push(w.jobs_for_instance(0, 2).unwrap().remove(0)); // data not registered
-    let results = cv.run_concurrent_results(wave, RunMode::CloudViews);
+    let results = cv.run_many(wave, RunMode::CloudViews, thread_per_job(&day1));
     let failed: Vec<usize> = results
         .iter()
         .enumerate()
@@ -306,7 +367,11 @@ fn permanently_crashed_builder_fails_alone_and_lock_is_taken_over() {
             s
         })
         .collect();
-    let wave2 = cv.run_concurrent(resubmitted, RunMode::CloudViews).unwrap();
+    let wave2: Vec<_> = cv
+        .run_many(resubmitted, RunMode::CloudViews, thread_per_job(&day1))
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap();
     let mut built: Vec<_> = wave2
         .iter()
         .flat_map(|r| r.views_built.iter().copied())
@@ -444,7 +509,6 @@ fn run_many_under_chaos_preserves_outputs_and_build_once() {
     let options = PipelineOptions {
         workers: 3,
         max_in_flight: 2,
-        janitor: false,
     };
 
     // Fault-free pooled wave first: the build locks must let exactly one
@@ -555,7 +619,6 @@ fn run_many_pool_throughput_unchanged_after_panicking_jobs() {
     let options = PipelineOptions {
         workers: 3,
         max_in_flight: 2,
-        janitor: false,
     };
 
     // Wave 1: healthy jobs interleaved with the panicking ones.
@@ -701,7 +764,6 @@ fn windowed_follower_survives_producer_panic() {
             PipelineOptions {
                 workers,
                 max_in_flight: 0,
-                janitor: false,
             },
             &SharingConfig::default(),
         );
@@ -808,7 +870,6 @@ fn windowed_follower_survives_scripted_builder_kill() {
         PipelineOptions {
             workers: 2,
             max_in_flight: 0,
-            janitor: false,
         },
         &SharingConfig::default(),
     );
@@ -858,7 +919,6 @@ fn windowed_chaos_wave_one_producer_per_subgraph_and_serial_parity() {
             PipelineOptions {
                 workers,
                 max_in_flight: 0,
-                janitor: false,
             },
             &SharingConfig::default(),
         );

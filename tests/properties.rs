@@ -10,6 +10,10 @@
 //! the documented ranges using the workspace RNG, so failures reproduce
 //! exactly and no crates.io dependency is needed.
 
+// Service-level properties drive the shared clock and read it back as the
+// pinned time of their calls.
+#![allow(clippy::disallowed_methods)]
+
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -500,7 +504,7 @@ fn shard_test_annotations(n: usize, ttl: SimDuration) -> Vec<cloudviews::analyze
 #[test]
 fn purge_never_leaks_dead_annotations() {
     for_cases("purge_never_leaks_dead_annotations", |rng| {
-        use cloudviews::{MetadataService, ReportRequest};
+        use cloudviews::{LookupRequest, MetadataService, ReportRequest};
         use scope_common::time::SimClock;
         use scope_common::Symbol;
         use scope_engine::optimizer::AvailableView;
@@ -535,10 +539,10 @@ fn purge_never_leaks_dead_annotations() {
 
         let now = clock.advance(SimDuration::from_secs(rng.gen_range(0..6_000)));
         if rng.gen_bool(0.5) {
-            m.purge_expired();
+            m.purge_expired(now);
         } else {
             for _ in 0..m.num_shards() {
-                m.purge_next_shard();
+                m.purge_next_shard(now);
             }
         }
 
@@ -547,8 +551,9 @@ fn purge_never_leaks_dead_annotations() {
             let horizon = view_expiry[i] + ttl;
             let expect_live = horizon > now;
             live += expect_live as usize;
+            let job = JobId::new(1_000 + i as u64);
             let r = m
-                .relevant_views_for(JobId::new(1_000 + i as u64), &[s.input_tags[0]])
+                .lookup(&LookupRequest::new(job, &[s.input_tags[0]], now))
                 .unwrap();
             let returned = r
                 .annotations
@@ -563,11 +568,9 @@ fn purge_never_leaks_dead_annotations() {
         // Exactly two postings per surviving annotation: its own tag plus
         // the shared one. Any excess is a leaked back-reference.
         assert_eq!(m.num_inverted_entries(), 2 * live, "shards {shards}");
+        let tags = [Symbol::intern("shard-prop/tag/shared")];
         let shared = m
-            .relevant_views_for(
-                JobId::new(9_999),
-                &[Symbol::intern("shard-prop/tag/shared")],
-            )
+            .lookup(&LookupRequest::new(JobId::new(9_999), &tags, now))
             .unwrap();
         assert_eq!(shared.annotations.len(), live, "shards {shards}");
     });
@@ -682,6 +685,84 @@ fn tier2_lookup_pins_caller_time_under_clock_skew() {
     });
 }
 
+/// The whole-job-path extension of the clock-skew property: a job
+/// sequence driven through `run_job_at` at pinned submission times yields
+/// the same `JobRunReport`s whether or not the service's live clock is
+/// skewed ahead by a random amount before every call. Nothing on the
+/// per-job path (lookup, view checks, proposals, publication, dead-view
+/// GC) may read the live clock in place of the job's pinned time.
+#[test]
+fn job_reports_are_invariant_under_service_clock_skew() {
+    use cloudviews::analyzer::{AnalyzerConfig, SelectionPolicy};
+    use cloudviews::{CloudViews, JobRunReport, RunMode};
+    use scope_workload::dists::LogNormal;
+    use scope_workload::recurring::{ClusterSpec, RecurringWorkload, WorkloadConfig};
+
+    let workload = RecurringWorkload::generate(WorkloadConfig {
+        clusters: vec![ClusterSpec::tiny("skew")],
+        seed: 99,
+        stream_rows: LogNormal::new(5.8, 0.5, 100.0, 1_200.0),
+    })
+    .unwrap();
+    // A baseline instance, the analysis, then two enabled instances; each
+    // job is pinned at the previous job's end, as `run_sequence` pins it.
+    let run = |skew: &mut dyn FnMut() -> SimDuration| -> Vec<JobRunReport> {
+        let cv = CloudViews::builder(Arc::new(StorageManager::new())).build();
+        let mut at = SimTime::ZERO;
+        let mut reports = Vec::new();
+        for (instance, mode) in [
+            (0, RunMode::Baseline),
+            (1, RunMode::CloudViews),
+            (2, RunMode::CloudViews),
+        ] {
+            workload
+                .register_instance_data(0, instance, &cv.storage, 1.0)
+                .unwrap();
+            for spec in workload.jobs_for_instance(0, instance).unwrap() {
+                cv.clock.advance(skew());
+                let report = cv.run_job_at(&spec, mode, at).unwrap();
+                at = report.started_at + report.latency;
+                reports.push(report);
+            }
+            if instance == 0 {
+                let analysis = cv
+                    .analyze(&AnalyzerConfig {
+                        policy: SelectionPolicy::TopKUtility { k: 5 },
+                        ..Default::default()
+                    })
+                    .unwrap();
+                cv.install_analysis(&analysis);
+            }
+        }
+        reports
+    };
+    let pinned = run(&mut || SimDuration::ZERO);
+    assert!(
+        pinned.iter().any(|r| !r.views_reused.is_empty()),
+        "the sequence must exercise reuse"
+    );
+    for_cases(
+        "job_reports_are_invariant_under_service_clock_skew",
+        |rng| {
+            let skewed = run(&mut || SimDuration::from_secs(rng.gen_range(0..86_400)));
+            assert_eq!(skewed.len(), pinned.len());
+            for (a, b) in pinned.iter().zip(&skewed) {
+                let job = a.job;
+                assert_eq!(a.job, b.job);
+                assert_eq!(a.started_at, b.started_at, "job {job}: start");
+                assert_eq!(a.output_checksums, b.output_checksums, "job {job}: outputs");
+                assert_eq!(a.output_rows, b.output_rows, "job {job}: output rows");
+                assert_eq!(a.views_built, b.views_built, "job {job}: views built");
+                assert_eq!(a.views_reused, b.views_reused, "job {job}: views reused");
+                assert_eq!(a.latency, b.latency, "job {job}: latency");
+                assert_eq!(a.lookup_latency, b.lookup_latency, "job {job}: lookup");
+                assert_eq!(a.cpu_time, b.cpu_time, "job {job}: cpu");
+                assert_eq!(a.faults, b.faults, "job {job}: faults");
+            }
+        },
+    );
+}
+
 /// The dead-view leak regression (ISSUE 4 acceptance): 1,000 recurring
 /// instances, each registering fresh precise views that expire before the
 /// next instance, must leave every metadata cardinality bounded by the
@@ -721,8 +802,8 @@ fn thousand_recurring_instances_stay_bounded() {
             ));
         }
         clock.advance(SimDuration::from_secs(100));
-        // The background janitor: one shard swept per job-sized step.
-        m.purge_next_shard();
+        // The background janitor sweeps one shard per job-sized step.
+        m.purge_next_shard(clock.now());
         if instance % 50 == 49 {
             // Every shard gets swept at least every 16 steps; the bound
             // below is deliberately loose (dead views linger at most one
@@ -737,7 +818,7 @@ fn thousand_recurring_instances_stay_bounded() {
         }
     }
 
-    let swept = m.purge_expired();
+    let swept = m.purge_expired(clock.now());
     assert_eq!(swept.annotations_purged, 0, "horizons are still renewed");
     assert_eq!(m.num_annotations(), K);
     assert!(m.num_views() <= K);
@@ -745,7 +826,7 @@ fn thousand_recurring_instances_stay_bounded() {
     // Registrations stop; once the last view's horizon lapses everything
     // drains — annotations, postings, buckets, views.
     clock.advance(SimDuration::from_secs(50 + 3_600 + 1));
-    let swept = m.purge_expired();
+    let swept = m.purge_expired(clock.now());
     assert_eq!(swept.annotations_purged, K);
     assert_eq!(m.num_views(), 0);
     assert_eq!(m.num_annotations(), 0);
@@ -760,7 +841,7 @@ fn thousand_recurring_instances_stay_bounded() {
 /// win the lapsed lock.
 #[test]
 fn concurrent_shard_stress_with_single_takeover_winner() {
-    use cloudviews::{LockOutcome, MetadataService, ReportRequest};
+    use cloudviews::{LockOutcome, LookupRequest, MetadataService, ProposeRequest, ReportRequest};
     use scope_common::time::SimClock;
     use scope_engine::optimizer::AvailableView;
     use scope_plan::PhysicalProps;
@@ -777,11 +858,13 @@ fn concurrent_shard_stress_with_single_takeover_winner() {
 
     // Seed a build lock whose TTL lapses before the threads start.
     let contested = scope_common::sip128(b"stress/contested");
-    assert_eq!(
-        m.propose_now(contested, JobId::new(0), SimDuration::from_secs(10))
-            .unwrap(),
-        LockOutcome::Acquired
+    let seed_lock = ProposeRequest::new(
+        contested,
+        JobId::new(0),
+        SimDuration::from_secs(10),
+        clock.now(),
     );
+    assert_eq!(m.propose(&seed_lock).unwrap(), LockOutcome::Acquired);
     clock.advance(SimDuration::from_secs(11));
     let now = clock.now();
 
@@ -794,8 +877,14 @@ fn concurrent_shard_stress_with_single_takeover_winner() {
             scope.spawn(move || {
                 // The takeover race: every thread sees the same expired
                 // lock; the shard's lock-table mutex must elect one winner.
+                let ttl = SimDuration::from_secs(60);
                 match m
-                    .propose_now(contested, JobId::new(100 + t), SimDuration::from_secs(60))
+                    .propose(&ProposeRequest::new(
+                        contested,
+                        JobId::new(100 + t),
+                        ttl,
+                        now,
+                    ))
                     .unwrap()
                 {
                     LockOutcome::Acquired => {
@@ -812,8 +901,9 @@ fn concurrent_shard_stress_with_single_takeover_winner() {
                 // and janitor sweeps interleaved throughout.
                 for i in 0..OPS {
                     let s = &selected[((t + i) % K as u64) as usize];
+                    let job = JobId::new(1_000 + t);
                     let r = m
-                        .relevant_views_for(JobId::new(1_000 + t), &[s.input_tags[0]])
+                        .lookup(&LookupRequest::new(job, &[s.input_tags[0]], now))
                         .unwrap();
                     assert!(
                         r.annotations
@@ -823,7 +913,7 @@ fn concurrent_shard_stress_with_single_takeover_winner() {
                     );
                     let precise = scope_common::sip128(format!("stress/{t}/{i}").as_bytes());
                     assert_eq!(
-                        m.propose_now(precise, JobId::new(1_000 + t), SimDuration::from_secs(60))
+                        m.propose(&ProposeRequest::new(precise, job, ttl, now))
                             .unwrap(),
                         LockOutcome::Acquired,
                         "thread-unique signature must never conflict"
@@ -843,7 +933,7 @@ fn concurrent_shard_stress_with_single_takeover_winner() {
                         ));
                     }
                     if i % 32 == 0 {
-                        m.purge_next_shard();
+                        m.purge_next_shard(now);
                     }
                 }
             });
@@ -1245,15 +1335,16 @@ fn columnar_stats_match_row_reference_on_tpcds() {
 #[test]
 fn lock_exclusivity() {
     for_cases("lock_exclusivity", |case_rng| {
-        use cloudviews::{LockOutcome, MetadataService};
+        use cloudviews::{LockOutcome, MetadataService, ProposeRequest};
         use scope_common::time::SimClock;
         let n_jobs = case_rng.gen_range(2u64..12);
         let svc = MetadataService::new(Arc::new(SimClock::new()), 1);
         let sig = Sig128::new(1, 2);
         let mut winners = 0;
         for j in 0..n_jobs {
+            let ttl = SimDuration::from_secs(60);
             if svc
-                .propose_now(sig, JobId::new(j), SimDuration::from_secs(60))
+                .propose(&ProposeRequest::new(sig, JobId::new(j), ttl, SimTime::ZERO))
                 .unwrap()
                 == LockOutcome::Acquired
             {

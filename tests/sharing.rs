@@ -78,7 +78,6 @@ fn options(workers: usize) -> PipelineOptions {
     PipelineOptions {
         workers,
         max_in_flight: 0,
-        janitor: false,
     }
 }
 

@@ -7,6 +7,9 @@
 //! through a compensation plan, and the compensated outputs are compared
 //! against a baseline run of the same query with reuse disabled.
 
+// Single-job steps pin their submission time to the service clock.
+#![allow(clippy::disallowed_methods)]
+
 use std::sync::Arc;
 
 use cloudviews::analyzer::SelectedView;

@@ -8,6 +8,9 @@
 //! 4. telemetry numbers agree with `JobRunReport` / `JobFaultReport` under
 //!    a scripted fault plan.
 
+// Single-job steps pin their submission time to the service clock.
+#![allow(clippy::disallowed_methods)]
+
 use std::sync::Arc;
 
 use cloudviews::analyzer::{AnalyzerConfig, SelectionConstraints, SelectionPolicy};
@@ -128,7 +131,11 @@ fn concurrent_jobs_count_exactly() {
 
     let before = cv.telemetry.metrics.snapshot();
     cv.telemetry.tracer.clear();
-    let results = cv.run_concurrent_results(specs, RunMode::CloudViews);
+    let options = cloudviews::PipelineOptions {
+        workers: specs.len(),
+        max_in_flight: 0,
+    };
+    let results = cv.run_many(specs, RunMode::CloudViews, options);
     let reports: Vec<JobRunReport> = results.into_iter().map(|r| r.unwrap()).collect();
     let after = cv.telemetry.metrics.snapshot();
 
@@ -456,7 +463,6 @@ fn run_many_aggregates_match_serial_under_scripted_faults() {
         PipelineOptions {
             workers: 1,
             max_in_flight: 1,
-            janitor: false,
         },
     );
 
@@ -467,7 +473,6 @@ fn run_many_aggregates_match_serial_under_scripted_faults() {
         PipelineOptions {
             workers: 4,
             max_in_flight: 2,
-            janitor: false,
         },
     );
 
